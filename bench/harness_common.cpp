@@ -5,15 +5,11 @@
 #include <iostream>
 #include <ostream>
 
-#include "baseline/si_explorer.hpp"
-#include "core/mi_explorer.hpp"
-#include "flow/profiling.hpp"
 #include "flow/replacement.hpp"
 #include "runtime/job_graph.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/rng.hpp"
 
 namespace isex::benchx {
 namespace {
@@ -40,36 +36,6 @@ std::vector<sched::MachineConfig> paper_machines() {
   };
 }
 
-namespace {
-
-/// Flat (block × repeat) exploration batch; see flow::run_design_flow for
-/// the determinism argument (identical split order to the serial loop).
-template <typename Explorer>
-std::vector<core::ExplorationResult> explore_blocks(
-    const Explorer& explorer, const flow::ProfiledProgram& program,
-    const std::vector<std::size_t>& hot_blocks, int repeats, Rng& rng) {
-  const auto per_block = static_cast<std::size_t>(repeats);
-  std::vector<core::ExplorationResult> attempts = runtime::deterministic_fanout(
-      runtime::ThreadPool::default_pool(), rng, hot_blocks.size() * per_block,
-      [&](std::size_t job, Rng& child) {
-        const std::size_t bi = hot_blocks[job / per_block];
-        return explorer.explore(program.blocks[bi].graph, child);
-      });
-  std::vector<core::ExplorationResult> best;
-  best.reserve(hot_blocks.size());
-  for (std::size_t b = 0; b < hot_blocks.size(); ++b) {
-    const auto begin =
-        attempts.begin() + static_cast<std::ptrdiff_t>(b * per_block);
-    best.push_back(core::MultiIssueExplorer::pick_best(
-        {std::make_move_iterator(begin),
-         std::make_move_iterator(begin +
-                                 static_cast<std::ptrdiff_t>(per_block))}));
-  }
-  return best;
-}
-
-}  // namespace
-
 ExploredProgram explore_program(bench_suite::Benchmark benchmark,
                                 bench_suite::OptLevel level,
                                 const sched::MachineConfig& machine,
@@ -79,24 +45,17 @@ ExploredProgram explore_program(bench_suite::Benchmark benchmark,
   ExploredProgram out;
   out.program = bench_suite::make_program(benchmark, level);
 
-  const auto costs = flow::profile_blocks(out.program, machine);
-  out.hot_blocks = flow::select_hot_blocks(costs, 0.95, 8);
-
-  isa::IsaFormat format;
-  format.reg_file = machine.reg_file;
-
-  Rng rng(seed);
-  std::vector<core::ExplorationResult> results;
-  if (algorithm == flow::Algorithm::kMultiIssue) {
-    const core::MultiIssueExplorer explorer(
-        machine, format, hw::HwLibrary::paper_default(), params);
-    results = explore_blocks(explorer, out.program, out.hot_blocks, repeats, rng);
-  } else {
-    const baseline::SingleIssueExplorer explorer(
-        format, hw::HwLibrary::paper_default(), params);
-    results = explore_blocks(explorer, out.program, out.hot_blocks, repeats, rng);
-  }
-  out.catalog = flow::build_catalog(out.program, out.hot_blocks, results);
+  flow::FlowConfig config;
+  config.machine = machine;
+  config.params = params;
+  config.algorithm = algorithm;
+  config.repeats = repeats;
+  config.seed = seed;
+  flow::FlowResult result = flow::run_design_flow(
+      out.program, hw::HwLibrary::paper_default(), config);
+  out.hot_blocks = std::move(result.hot_blocks);
+  out.catalog =
+      flow::build_catalog(out.program, out.hot_blocks, result.explorations);
   return out;
 }
 
@@ -108,7 +67,8 @@ std::vector<ExploredProgram> explore_programs(
   return runtime::parallel_map(
       runtime::ThreadPool::default_pool(), benchmarks,
       [&](const bench_suite::Benchmark benchmark) {
-        // Nested fan-out: explore_blocks inside runs inline on this worker.
+        // Nested fan-out: the flow's exploration batch runs inline on this
+        // worker.
         return explore_program(benchmark, level, machine, algorithm, repeats,
                                seed);
       });
@@ -117,8 +77,8 @@ std::vector<ExploredProgram> explore_programs(
 Outcome evaluate(const ExploredProgram& explored,
                  const flow::SelectionConstraints& constraints,
                  const sched::MachineConfig& machine) {
-  const flow::SelectionResult selection =
-      flow::select_ises(explored.catalog, constraints);
+  const flow::SelectionResult selection = flow::program_selection(
+      flow::select_portfolio_ises(explored.catalog, constraints), 0);
   const flow::ReplacementResult replaced =
       flow::apply_selection(explored.program, selection, machine);
   Outcome o;

@@ -24,11 +24,13 @@ std::vector<sched::MachineConfig> paper_machines();
 struct ExploredProgram {
   flow::ProfiledProgram program;
   std::vector<std::size_t> hot_blocks;
-  std::vector<flow::IseCatalogEntry> catalog;
+  std::vector<flow::PortfolioCatalogEntry> catalog;
 };
 
-/// `params` tweaks the explorer (perf_runtime uses it to A/B the schedule
-/// cache); the default reproduces the paper settings.
+/// Runs the design flow once (default constraints) and keeps its hot blocks
+/// and explorations as the catalog.  `params` tweaks the explorer
+/// (perf_runtime uses it to A/B the schedule cache); the default reproduces
+/// the paper settings.
 ExploredProgram explore_program(bench_suite::Benchmark benchmark,
                                 bench_suite::OptLevel level,
                                 const sched::MachineConfig& machine,
@@ -56,7 +58,7 @@ int bench_repeats();
 const char* algorithm_tag(flow::Algorithm algorithm);
 
 /// Explores one (benchmark, flavor) per entry of `benchmarks`, all as one
-/// parallel batch on the default pool.  Each program owns its Rng(seed), so
+/// parallel batch on the default pool.  Each flow owns its Rng(seed), so
 /// the output is identical to calling explore_program in a loop.
 std::vector<ExploredProgram> explore_programs(
     const std::vector<bench_suite::Benchmark>& benchmarks,

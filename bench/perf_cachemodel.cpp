@@ -145,7 +145,6 @@ int main(int argc, char** argv) {
   null_config.repeats = quick ? 2 : 5;
   null_config.seed = 17;
   null_config.jobs = 8;
-  null_config.keep_explorations = true;
 
   flow::FlowConfig cache_config = null_config;
   cache_config.cache =

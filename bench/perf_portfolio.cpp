@@ -189,8 +189,6 @@ int main(int argc, char** argv) {
 
   // --- Reference: back-to-back independent flows, cold cache per program
   // (the N-separate-invocations world the portfolio replaces).
-  flow::FlowConfig independent = base;
-  independent.keep_explorations = true;
   std::vector<flow::FlowResult> reference;
   TimedRun independent_timing;
   for (int r = 0; r < repeats; ++r) {
@@ -199,7 +197,7 @@ int main(int argc, char** argv) {
     for (const flow::PortfolioEntry& entry : entries) {
       runtime::schedule_cache().clear();
       results.push_back(
-          flow::run_design_flow(entry.program, library, independent));
+          flow::run_design_flow(entry.program, library, base));
     }
     const auto elapsed = std::chrono::steady_clock::now() - start;
     independent_timing.seconds_each.push_back(

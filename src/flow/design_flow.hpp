@@ -1,7 +1,8 @@
 // End-to-end ISE design flow (Fig 3.1.1): profiling → basic-block selection
 // → ISE exploration (MI, the paper's algorithm, or SI, the legality-only
 // baseline) → merging + selection with hardware sharing → replacement and
-// final scheduling.
+// final scheduling.  The flow is the one-entry, weight-1 case of the
+// portfolio flow (flow/portfolio.hpp); both run the stages in portfolio.cpp.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +42,6 @@ struct FlowConfig {
   /// --jobs / ISEX_JOBS override); N > 0 runs on a private N-thread pool.
   /// Results are identical at any value — see docs/RUNTIME.md.
   int jobs = 0;
-  /// Copy the per-hot-block exploration results into FlowResult.  Off by
-  /// default (they can be large); the portfolio bit-identity gates compare
-  /// them against run_portfolio_flow's per-program explorations.
-  bool keep_explorations = false;
   /// Memory-hierarchy cost model (docs/MEMORY.md).  When set, every block
   /// is annotated with simulated L1/L2 load/store latencies before
   /// profiling, so all downstream stages — exploration merit, selection,
@@ -58,8 +55,8 @@ struct FlowResult {
   SelectionResult selection;
   /// Blocks exploration actually ran on.
   std::vector<std::size_t> hot_blocks;
-  /// Per-hot-block exploration results (parallel to hot_blocks); populated
-  /// only when FlowConfig::keep_explorations is set.
+  /// Best-of-repeats exploration result per hot block (parallel to
+  /// hot_blocks) — the catalog selection drew from.
   std::vector<core::ExplorationResult> explorations;
   /// True when FlowConfig::cache drove the run; `cache_stats` then holds the
   /// aggregate hit/miss counters of the per-block annotation simulations.
@@ -83,7 +80,8 @@ mem::CacheStats annotate_program(ProfiledProgram& program,
 /// Runs the complete flow on `program`.  Deterministic in config.seed.
 /// Validates the program and config first (flow::validate) and throws
 /// isex::ValidationException on rejected input — malformed kernels never
-/// reach the explorer.
+/// reach the explorer.  Evaluations memoize through config.params.eval_cache,
+/// or the process-wide runtime::schedule_cache() when that is null.
 FlowResult run_design_flow(const ProfiledProgram& program,
                            const hw::HwLibrary& library,
                            const FlowConfig& config);

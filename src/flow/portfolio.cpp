@@ -1,14 +1,17 @@
+// The design flow's one implementation.  run_portfolio_flow runs the stages
+// over a weighted manifest; run_design_flow runs the same stages over a
+// one-entry, weight-1 manifest and returns that program's slice.
 #include "flow/portfolio.hpp"
 
-#include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
 #include <utility>
 
-#include "flow/merging.hpp"
 #include "flow/validate.hpp"
 #include "runtime/hash.hpp"
+#include "runtime/job_graph.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "runtime/thread_pool.hpp"
 #include "trace/metrics.hpp"
@@ -16,26 +19,50 @@
 #include "util/rng.hpp"
 
 namespace isex::flow {
+
+mem::CacheStats annotate_program(ProfiledProgram& program,
+                                 const mem::CacheConfig& config) {
+  mem::CacheStats stats;
+  for (ProfiledBlock& block : program.blocks)
+    stats.merge(mem::annotate_graph(block.graph, config));
+  trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
+  registry.counter("isex_cache_accesses_total")
+      .inc(static_cast<double>(stats.accesses));
+  registry.counter("isex_cache_hits_total", {{"level", "l1"}})
+      .inc(static_cast<double>(stats.l1_hits));
+  registry.counter("isex_cache_hits_total", {{"level", "l2"}})
+      .inc(static_cast<double>(stats.l2_hits));
+  registry.counter("isex_cache_mem_accesses_total")
+      .inc(static_cast<double>(stats.mem_accesses));
+  registry.counter("isex_cache_annotated_nodes_total")
+      .inc(static_cast<double>(stats.annotated_nodes));
+  registry.gauge("isex_cache_last_l1_hit_rate").set(stats.l1_hit_rate());
+  return stats;
+}
+
 namespace {
 
-/// One flat exploration job after job-level dedup: the block to explore plus
-/// its serially pre-derived RNG stream.
-struct UniqueJob {
-  const dfg::Graph* graph = nullptr;
-  Rng stream;
+using KeyPair = std::pair<std::uint64_t, std::uint64_t>;
+
+KeyPair key_pair(const runtime::Key128& key) { return {key.lo, key.hi}; }
+
+/// One manifest row as the stages read it; the program is borrowed, so a
+/// design flow never copies its input.
+struct FlowInput {
+  const ProfiledProgram* program = nullptr;
+  double weight = 1.0;
 };
 
-template <typename Explorer>
-std::vector<core::ExplorationResult> explore_unique_jobs(
-    const Explorer& explorer, const std::vector<UniqueJob>& jobs,
-    runtime::ThreadPool& pool) {
-  std::vector<core::ExplorationResult> results(jobs.size());
-  pool.parallel_for(jobs.size(), [&](std::size_t i) {
-    Rng local = jobs[i].stream;  // private mutable copy; jobs stay pristine
-    results[i] = explorer.explore(*jobs[i].graph, local);
-  });
-  return results;
-}
+/// What the shared stages produce.  The programs as the stages saw them
+/// (cache-model annotated when one is set), the merged catalog and the hot
+/// blocks' exact digests are kept for the portfolio's isomorphism telemetry.
+struct FlowRun {
+  PortfolioResult result;
+  std::vector<ProfiledProgram> annotated;
+  std::vector<const ProfiledProgram*> programs;
+  std::vector<PortfolioCatalogEntry> catalog;
+  std::vector<std::vector<KeyPair>> block_digests;
+};
 
 runtime::CacheStats stats_delta(const runtime::CacheStats& after,
                                 const runtime::CacheStats& before) {
@@ -47,91 +74,254 @@ runtime::CacheStats stats_delta(const runtime::CacheStats& after,
   return d;
 }
 
-using KeyPair = std::pair<std::uint64_t, std::uint64_t>;
+/// Exploration stage: every program's (hot block × repeat) jobs as one flat
+/// pool batch, then best-of-repeats per (program, hot block).
+///
+/// Streams: every program derives its streams from a fresh Rng(seed) split
+/// serially in (hot block, repeat) order — the order the serial best-of loop
+/// used — so a program's explorations never depend on the rest of the
+/// manifest or on the thread count.  Consequence: two jobs at the same
+/// within-program index see the same stream, so when their blocks' exact
+/// digests also match (common for shared kernels across manifest rows) the
+/// jobs are identical end to end — explore once, hand the result to every
+/// user (moved to the last one).  The dedup decision is made serially,
+/// before the fan-out.
+template <typename Explorer>
+void explore_hot_blocks(const Explorer& explorer, const FlowConfig& config,
+                        runtime::ThreadPool& pool, FlowRun& run) {
+  using Clock = std::chrono::steady_clock;
+  const auto plan_start = Clock::now();
+  const std::vector<const ProfiledProgram*>& programs = run.programs;
+  PortfolioResult& result = run.result;
+  const auto per_block = static_cast<std::size_t>(config.repeats);
+  std::vector<Rng> streams;
+  std::vector<const dfg::Graph*> graphs;
+  std::vector<std::size_t> users;
+  std::vector<std::vector<std::size_t>> job_of(programs.size());
+  run.block_digests.resize(programs.size());
+  std::map<std::pair<std::size_t, KeyPair>, std::size_t> first_job;
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    const std::vector<std::size_t>& hot = result.programs[p].hot_blocks;
+    Rng rng(config.seed);
+    const std::vector<Rng> split = rng.split_n(hot.size() * per_block);
+    for (const std::size_t bi : hot)
+      run.block_digests[p].push_back(
+          key_pair(runtime::graph_digest(programs[p]->blocks[bi].graph)));
+    job_of[p].resize(split.size());
+    for (std::size_t j = 0; j < split.size(); ++j) {
+      const std::size_t hot_pos = j / per_block;
+      const auto [it, inserted] = first_job.try_emplace(
+          std::make_pair(j, run.block_digests[p][hot_pos]), streams.size());
+      if (inserted) {
+        graphs.push_back(&programs[p]->blocks[hot[hot_pos]].graph);
+        streams.push_back(split[j]);
+        users.push_back(0);
+      } else {
+        ++result.deduped_jobs;
+      }
+      job_of[p][j] = it->second;
+      ++users[it->second];
+    }
+    result.total_jobs += split.size();
+  }
+  const auto plan_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           plan_start)
+          .count());
 
-KeyPair key_pair(const runtime::Key128& key) { return {key.lo, key.hi}; }
+  std::vector<core::ExplorationResult> unique = runtime::fanout_streams(
+      pool, streams,
+      [&](std::size_t i, Rng& stream) {
+        return explorer.explore(*graphs[i], stream);
+      },
+      "flow.explore_hot_blocks", plan_ns);
+
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    PortfolioProgramResult& prog = result.programs[p];
+    prog.explorations.reserve(prog.hot_blocks.size());
+    for (std::size_t b = 0; b < prog.hot_blocks.size(); ++b) {
+      std::vector<core::ExplorationResult> attempts;
+      attempts.reserve(per_block);
+      for (std::size_t r = 0; r < per_block; ++r) {
+        const std::size_t u = job_of[p][b * per_block + r];
+        if (--users[u] == 0)
+          attempts.push_back(std::move(unique[u]));
+        else
+          attempts.push_back(unique[u]);
+      }
+      prog.explorations.push_back(
+          core::MultiIssueExplorer::pick_best(std::move(attempts)));
+    }
+  }
+}
+
+/// The flow stages on validated input (Fig 3.1.1): cache-model annotation,
+/// profiling + hot-block selection, exploration, weighted selection with
+/// hardware sharing, replacement.  Every stage is a StageTimer — a
+/// `stage:<name>` span when tracing — directly under the caller's span, and
+/// nothing of substance runs between them, so the stages account for the
+/// flow's wall clock.  Evaluations memoize through `cache`.
+FlowRun run_stages(const std::vector<FlowInput>& inputs,
+                   const hw::HwLibrary& library, const FlowConfig& config,
+                   runtime::EvalCache& cache) {
+  FlowRun run;
+  PortfolioResult& result = run.result;
+  result.programs.resize(inputs.size());
+  std::vector<const ProfiledProgram*>& programs = run.programs;
+  for (const FlowInput& input : inputs) programs.push_back(input.program);
+
+  // 0. Memory-hierarchy annotation (docs/MEMORY.md).  Runs before profiling
+  // so every stage downstream prices the same modeled load/store latencies,
+  // and before the block digests are taken: annotated latencies are
+  // scheduler input, so they are part of the dedup identity.  Inputs are
+  // never mutated; with no cache model the legacy latencies stay.
+  std::vector<ProfiledProgram>& annotated = run.annotated;
+  if (config.cache) {
+    const runtime::StageTimer timer("cache_model");
+    annotated.reserve(inputs.size());
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      annotated.push_back(*inputs[p].program);
+      result.cache_stats.merge(
+          annotate_program(annotated.back(), *config.cache));
+      programs[p] = &annotated.back();
+    }
+    result.cache_modeled = true;
+  }
+
+  // 1. Profiling + hot-block selection, per program.
+  {
+    const runtime::StageTimer timer("profiling");
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      PortfolioProgramResult& prog = result.programs[p];
+      prog.name = programs[p]->name;
+      prog.weight = inputs[p].weight;
+      prog.hot_blocks =
+          select_hot_blocks(profile_blocks(*programs[p], config.machine),
+                            config.hot_coverage, config.max_hot_blocks);
+    }
+  }
+
+  // 2. Exploration: the whole manifest as one pool batch.
+  {
+    const runtime::StageTimer timer("exploration");
+    core::ExplorerParams params = config.params;
+    params.eval_cache = &cache;
+    isa::IsaFormat format;
+    format.reg_file = config.machine.reg_file;
+    format.max_ises = config.constraints.max_ises;
+
+    std::unique_ptr<runtime::ThreadPool> private_pool;
+    if (config.jobs > 0)
+      private_pool = std::make_unique<runtime::ThreadPool>(config.jobs);
+    runtime::ThreadPool& pool =
+        private_pool ? *private_pool : runtime::ThreadPool::default_pool();
+
+    const runtime::CacheStats before = cache.stats();
+    if (config.algorithm == Algorithm::kMultiIssue) {
+      const core::MultiIssueExplorer explorer(config.machine, format, library,
+                                              params);
+      explore_hot_blocks(explorer, config, pool, run);
+    } else {
+      const baseline::SingleIssueExplorer explorer(format, library, params);
+      explore_hot_blocks(explorer, config, pool, run);
+    }
+    result.eval_cache_stats = stats_delta(cache.stats(), before);
+  }
+
+  // 3. Merging + weighted selection with hardware sharing over the merged
+  // catalog, under the shared constraints.
+  {
+    const runtime::StageTimer timer("selection");
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      const PortfolioProgramResult& prog = result.programs[p];
+      for (PortfolioCatalogEntry& row :
+           build_catalog(*programs[p], prog.hot_blocks, prog.explorations, p,
+                         prog.weight))
+        run.catalog.push_back(std::move(row));
+    }
+    result.selection = select_portfolio_ises(run.catalog, config.constraints);
+  }
+
+  // 4. Replacement and final scheduling, per program under its slice of the
+  // selection.
+  {
+    const runtime::StageTimer timer("replacement");
+    for (std::size_t p = 0; p < inputs.size(); ++p) {
+      PortfolioProgramResult& prog = result.programs[p];
+      prog.selection = program_selection(result.selection, p);
+      prog.replacement = apply_selection(*programs[p], prog.selection,
+                                         config.machine, config.replacement);
+    }
+  }
+  return run;
+}
+
+/// Canonical-isomorphism telemetry: how much structure repeats across the
+/// portfolio under node renumbering.  Detection only — exact digests stay
+/// the cache currency (docs/PORTFOLIO.md).
+void count_isomorphisms(FlowRun& run) {
+  PortfolioResult& result = run.result;
+  std::map<KeyPair, std::set<KeyPair>> canon_to_exact;
+  std::map<KeyPair, std::size_t> canon_count;
+  for (std::size_t p = 0; p < run.programs.size(); ++p) {
+    const std::vector<std::size_t>& hot = result.programs[p].hot_blocks;
+    for (std::size_t b = 0; b < hot.size(); ++b) {
+      const KeyPair canon = key_pair(runtime::canonical_graph_digest(
+          run.programs[p]->blocks[hot[b]].graph));
+      canon_to_exact[canon].insert(run.block_digests[p][b]);
+      ++canon_count[canon];
+    }
+  }
+  for (const auto& [canon, count] : canon_count)
+    if (count > 1 && canon_to_exact[canon].size() > 1)
+      result.isomorphic_hot_blocks += count;
+
+  std::vector<KeyPair> pattern_canon;
+  pattern_canon.reserve(run.catalog.size());
+  std::map<KeyPair, std::set<std::size_t>> pattern_programs;
+  for (const PortfolioCatalogEntry& e : run.catalog) {
+    pattern_canon.push_back(
+        key_pair(runtime::canonical_graph_digest(e.entry.pattern)));
+    pattern_programs[pattern_canon.back()].insert(e.program_index);
+  }
+  for (const KeyPair& canon : pattern_canon)
+    if (pattern_programs[canon].size() > 1) ++result.isomorphic_candidates;
+}
 
 }  // namespace
 
-PortfolioSelection select_portfolio_ises(
-    const std::vector<PortfolioCatalogEntry>& catalog,
-    const SelectionConstraints& constraints) {
-  PortfolioSelection result;
+FlowResult run_design_flow(const ProfiledProgram& program,
+                           const hw::HwLibrary& library,
+                           const FlowConfig& config) {
+  Expected<FlowResult> result =
+      run_design_flow_checked(program, library, config);
+  if (!result) throw ValidationException(result.error());
+  return std::move(result).value();
+}
 
-  // Prefix cursor / retirement flag per (program, block): a block's
-  // gain_cycles were measured with its earlier commits in place, so its
-  // candidates stay in commit order; an unaffordable head retires the block.
-  using BlockKey = std::pair<std::size_t, std::size_t>;
-  std::map<BlockKey, std::size_t> next_position;
-  std::map<BlockKey, bool> block_done;
-  for (const PortfolioCatalogEntry& e : catalog) {
-    const BlockKey key{e.program_index, e.entry.block_index};
-    next_position.try_emplace(key, 0);
-    block_done.try_emplace(key, false);
+Expected<FlowResult> run_design_flow_checked(const ProfiledProgram& program,
+                                             const hw::HwLibrary& library,
+                                             const FlowConfig& config) {
+  // Input boundary: reject malformed programs and configs before any stage
+  // touches them — a validator-rejected input never reaches the explorer.
+  {
+    const runtime::StageTimer timer("validation");
+    ValidationReport report = validate(config);
+    report.merge(validate(program));
+    if (!report.ok()) return report.first_error();
   }
-
-  // Representative pattern per selected type for cross-program sharing.
-  std::vector<const dfg::Graph*> type_patterns;
-
-  for (;;) {
-    // Head scan: highest weighted benefit; ties prefer the smaller ASFU,
-    // then the lowest (program, block, position).  The scan runs in catalog
-    // order — grouped by (program, block) ascending, positions ascending —
-    // and replaces the incumbent only on strict improvement, so full ties
-    // resolve to the earliest entry at any thread count (selection is
-    // serial; the order is pinned for the determinism contract).
-    const PortfolioCatalogEntry* best = nullptr;
-    for (const PortfolioCatalogEntry& e : catalog) {
-      const BlockKey key{e.program_index, e.entry.block_index};
-      if (block_done[key]) continue;
-      if (e.entry.position != next_position[key]) continue;
-      if (!(e.weighted_benefit > 0.0)) continue;
-      if (best == nullptr || e.weighted_benefit > best->weighted_benefit ||
-          (e.weighted_benefit == best->weighted_benefit &&
-           e.entry.ise.eval.area < best->entry.ise.eval.area)) {
-        best = &e;
-      }
-    }
-    if (best == nullptr) break;
-
-    // Cross-program hardware sharing: a pattern isomorphic to (or a
-    // subgraph of) any selected type's pattern reuses that ASFU for free,
-    // no matter which program first paid for it.
-    int share_type = -1;
-    for (std::size_t t = 0; t < type_patterns.size() && share_type < 0; ++t) {
-      const MergeRelation rel =
-          classify_merge(best->entry.pattern, *type_patterns[t]);
-      if (rel == MergeRelation::kEqual || rel == MergeRelation::kIntoOther)
-        share_type = static_cast<int>(t);
-    }
-
-    const double charge = share_type >= 0 ? 0.0 : best->entry.ise.eval.area;
-    const bool needs_new_type = share_type < 0;
-    const bool area_ok = result.total_area + charge <= constraints.area_budget;
-    const bool type_ok =
-        !needs_new_type || result.num_types < constraints.max_ises;
-
-    const BlockKey key{best->program_index, best->entry.block_index};
-    if (!area_ok || !type_ok) {
-      block_done[key] = true;
-      continue;
-    }
-
-    PortfolioSelectedIse sel;
-    sel.program_index = best->program_index;
-    sel.entry = best->entry;
-    sel.weighted_benefit = best->weighted_benefit;
-    if (needs_new_type) {
-      sel.type_id = result.num_types++;
-      type_patterns.push_back(&best->entry.pattern);
-      result.total_area += charge;
-    } else {
-      sel.type_id = share_type;
-      sel.hardware_shared = true;
-    }
-    result.selected.push_back(std::move(sel));
-    next_position[key] += 1;
-  }
+  runtime::EvalCache& cache = config.params.eval_cache != nullptr
+                                  ? *config.params.eval_cache
+                                  : runtime::schedule_cache();
+  FlowRun run = run_stages({FlowInput{&program, 1.0}}, library, config, cache);
+  PortfolioProgramResult& own = run.result.programs.front();
+  FlowResult result;
+  result.replacement = std::move(own.replacement);
+  result.selection = std::move(own.selection);
+  result.hot_blocks = std::move(own.hot_blocks);
+  result.explorations = std::move(own.explorations);
+  result.cache_modeled = run.result.cache_modeled;
+  result.cache_stats = run.result.cache_stats;
   return result;
 }
 
@@ -148,229 +338,33 @@ Expected<PortfolioResult> run_portfolio_flow_checked(
     const std::vector<PortfolioEntry>& entries, const hw::HwLibrary& library,
     const PortfolioConfig& config) {
   {
-    const runtime::StageTimer timer("portfolio.validation");
-    ValidationReport report = validate(config);
+    const runtime::StageTimer timer("validation");
+    ValidationReport report = validate(config.base);
     report.merge(validate(entries));
     if (!report.ok()) return report.first_error();
   }
 
-  PortfolioResult result;
-  result.programs.resize(entries.size());
-
-  // 0. Memory-hierarchy annotation (docs/MEMORY.md).  Must run before the
-  // block digests below are taken: annotated latencies are scheduler input,
-  // so they are part of the dedup identity — and because each block's
-  // annotation is a pure function of (graph, cache config), the
-  // portfolio ≡ independent-flows identity is preserved.
-  std::vector<PortfolioEntry> annotated;
-  const std::vector<PortfolioEntry>* active = &entries;
-  if (config.base.cache) {
-    const runtime::StageTimer timer("portfolio.cache_model");
-    annotated = entries;
-    for (PortfolioEntry& entry : annotated)
-      result.cache_stats.merge(
-          annotate_program(entry.program, *config.base.cache));
-    result.cache_modeled = true;
-    active = &annotated;
-  }
-  const std::vector<PortfolioEntry>& ents = *active;
-
-  // 1. Profiling + hot-block selection, per program (cheap, serial).
-  {
-    const runtime::StageTimer timer("portfolio.profiling");
-    for (std::size_t p = 0; p < ents.size(); ++p) {
-      PortfolioProgramResult& prog = result.programs[p];
-      prog.name = ents[p].program.name;
-      prog.weight = ents[p].weight;
-      const std::vector<BlockCost> costs =
-          profile_blocks(ents[p].program, config.base.machine);
-      prog.hot_blocks = select_hot_blocks(costs, config.base.hot_coverage,
-                                          config.base.max_hot_blocks);
-    }
-  }
-
-  // 2. One flat (program × hot block × repeat) batch with job-level dedup.
-  //
-  // Streams: every program derives its streams from a fresh Rng(seed) in
-  // run_design_flow's exact split order, so per-program explorations are
-  // bit-identical to independent flows.  Consequence: two jobs at the same
-  // within-program flat index see the same stream, so when their blocks'
-  // exact digests also match (common for shared kernels across manifest
-  // rows) the jobs are identical end to end — explore once, copy the
-  // result.  The dedup decision is made serially here, before the fan-out.
-  const auto per_block = static_cast<std::size_t>(config.base.repeats);
-  std::vector<UniqueJob> unique_jobs;
-  std::vector<std::vector<std::size_t>> job_of(ents.size());
-  std::vector<std::vector<runtime::Key128>> block_digests(ents.size());
-  {
-    std::map<std::pair<std::size_t, KeyPair>, std::size_t> first_job;
-    for (std::size_t p = 0; p < ents.size(); ++p) {
-      const PortfolioProgramResult& prog = result.programs[p];
-      Rng rng(config.base.seed);
-      std::vector<Rng> streams =
-          rng.split_n(prog.hot_blocks.size() * per_block);
-      block_digests[p].reserve(prog.hot_blocks.size());
-      for (const std::size_t bi : prog.hot_blocks)
-        block_digests[p].push_back(
-            runtime::graph_digest(ents[p].program.blocks[bi].graph));
-      job_of[p].resize(streams.size());
-      for (std::size_t j = 0; j < streams.size(); ++j) {
-        const std::size_t hot_pos = j / per_block;
-        const auto key = std::make_pair(
-            j, key_pair(block_digests[p][hot_pos]));
-        const auto [it, inserted] =
-            first_job.try_emplace(key, unique_jobs.size());
-        if (inserted) {
-          unique_jobs.push_back(UniqueJob{
-              &ents[p].program.blocks[prog.hot_blocks[hot_pos]].graph,
-              streams[j]});
-        } else {
-          ++result.deduped_jobs;
-        }
-        job_of[p][j] = it->second;
-      }
-      result.total_jobs += streams.size();
-    }
-  }
-
-  // Portfolio-scoped eval cache: every program's candidate/schedule
-  // evaluations memoize through one instance, so identical evaluations
-  // re-surfacing anywhere in the batch — across repeats, rounds, blocks,
-  // *and programs* — hit instead of re-scheduling.
+  // Portfolio-scoped eval cache unless the caller supplied one: every
+  // program's evaluations memoize through one instance, so identical
+  // evaluations re-surfacing anywhere in the batch — across repeats,
+  // rounds, blocks *and programs* — hit, and the reported dedup hit-rate is
+  // attributable to this portfolio alone.
   std::unique_ptr<runtime::EvalCache> private_cache;
-  runtime::EvalCache* cache = config.eval_cache;
+  runtime::EvalCache* cache = config.base.params.eval_cache;
   if (cache == nullptr) {
-    private_cache =
-        std::make_unique<runtime::EvalCache>(config.cache_capacity);
+    private_cache = std::make_unique<runtime::EvalCache>();
     cache = private_cache.get();
   }
-  const runtime::CacheStats stats_before = cache->stats();
 
-  core::ExplorerParams params = config.base.params;
-  params.eval_cache = cache;
-
-  isa::IsaFormat format;
-  format.reg_file = config.base.machine.reg_file;
-  format.max_ises = config.base.constraints.max_ises;
-
-  std::unique_ptr<runtime::ThreadPool> private_pool;
-  if (config.base.jobs > 0)
-    private_pool = std::make_unique<runtime::ThreadPool>(config.base.jobs);
-  runtime::ThreadPool& pool =
-      private_pool ? *private_pool : runtime::ThreadPool::default_pool();
-
-  // 3. Exploration: the whole portfolio as one pool batch.
-  std::vector<core::ExplorationResult> unique_results;
-  {
-    const runtime::StageTimer timer("portfolio.exploration");
-    if (config.base.algorithm == Algorithm::kMultiIssue) {
-      const core::MultiIssueExplorer explorer(config.base.machine, format,
-                                              library, params);
-      unique_results = explore_unique_jobs(explorer, unique_jobs, pool);
-    } else {
-      const baseline::SingleIssueExplorer explorer(format, library, params);
-      unique_results = explore_unique_jobs(explorer, unique_jobs, pool);
-    }
-  }
-  result.eval_cache_stats = stats_delta(cache->stats(), stats_before);
-
-  // Reduce best-of-repeats per (program, hot block), in repeat order —
-  // identical to run_design_flow's reduction.
-  for (std::size_t p = 0; p < ents.size(); ++p) {
-    PortfolioProgramResult& prog = result.programs[p];
-    prog.explorations.reserve(prog.hot_blocks.size());
-    for (std::size_t b = 0; b < prog.hot_blocks.size(); ++b) {
-      std::vector<core::ExplorationResult> attempts;
-      attempts.reserve(per_block);
-      for (std::size_t r = 0; r < per_block; ++r)
-        attempts.push_back(unique_results[job_of[p][b * per_block + r]]);
-      prog.explorations.push_back(
-          core::MultiIssueExplorer::pick_best(std::move(attempts)));
-    }
-  }
-
-  // 4. Weighted shared selection over the merged catalog.
-  std::vector<PortfolioCatalogEntry> catalog;
-  {
-    const runtime::StageTimer timer("portfolio.selection");
-    for (std::size_t p = 0; p < ents.size(); ++p) {
-      const PortfolioProgramResult& prog = result.programs[p];
-      for (IseCatalogEntry& entry : build_catalog(
-               ents[p].program, prog.hot_blocks, prog.explorations)) {
-        PortfolioCatalogEntry merged;
-        merged.program_index = p;
-        merged.weight = prog.weight;
-        merged.weighted_benefit =
-            static_cast<double>(entry.benefit) * prog.weight;
-        merged.entry = std::move(entry);
-        catalog.push_back(std::move(merged));
-      }
-    }
-    result.selection =
-        select_portfolio_ises(catalog, config.base.constraints);
-  }
-
-  // Canonical-isomorphism telemetry: how much structure repeats across the
-  // portfolio under node renumbering.  Detection only — the exact digests
-  // above stay the cache currency (docs/PORTFOLIO.md).
-  {
-    std::map<KeyPair, std::set<KeyPair>> canon_to_exact;
-    std::map<KeyPair, std::size_t> canon_count;
-    for (std::size_t p = 0; p < ents.size(); ++p) {
-      for (std::size_t b = 0; b < result.programs[p].hot_blocks.size(); ++b) {
-        const dfg::Graph& graph =
-            ents[p]
-                .program.blocks[result.programs[p].hot_blocks[b]]
-                .graph;
-        const KeyPair canon = key_pair(runtime::canonical_graph_digest(graph));
-        canon_to_exact[canon].insert(key_pair(block_digests[p][b]));
-        ++canon_count[canon];
-      }
-    }
-    for (const auto& [canon, count] : canon_count)
-      if (count > 1 && canon_to_exact[canon].size() > 1)
-        result.isomorphic_hot_blocks += count;
-
-    std::map<KeyPair, std::set<std::size_t>> pattern_programs;
-    for (const PortfolioCatalogEntry& e : catalog)
-      pattern_programs[key_pair(runtime::canonical_graph_digest(
-                           e.entry.pattern))]
-          .insert(e.program_index);
-    for (const PortfolioCatalogEntry& e : catalog)
-      if (pattern_programs[key_pair(runtime::canonical_graph_digest(
-              e.entry.pattern))]
-              .size() > 1)
-        ++result.isomorphic_candidates;
-  }
-
-  // 5. Replacement per program under its selection slice.  Type ids stay
-  // global; a slice's total_area charges only the types this program paid
-  // for (first use), and num_types counts the distinct ASFUs it touches.
-  {
-    const runtime::StageTimer timer("portfolio.replacement");
-    std::set<int> charged_types;
-    for (std::size_t p = 0; p < ents.size(); ++p) {
-      PortfolioProgramResult& prog = result.programs[p];
-      std::set<int> used_types;
-      for (const PortfolioSelectedIse& sel : result.selection.selected) {
-        if (sel.program_index != p) continue;
-        SelectedIse slice;
-        slice.entry = sel.entry;
-        slice.type_id = sel.type_id;
-        slice.hardware_shared = sel.hardware_shared;
-        if (!sel.hardware_shared && charged_types.insert(sel.type_id).second)
-          prog.selection.total_area += sel.entry.ise.eval.area;
-        used_types.insert(sel.type_id);
-        prog.selection.selected.push_back(std::move(slice));
-      }
-      prog.selection.num_types = static_cast<int>(used_types.size());
-      prog.replacement =
-          apply_selection(ents[p].program, prog.selection,
-                          config.base.machine, config.base.replacement);
-    }
-  }
+  std::vector<FlowInput> inputs;
+  inputs.reserve(entries.size());
+  for (const PortfolioEntry& entry : entries)
+    inputs.push_back(FlowInput{&entry.program, entry.weight});
+  FlowRun run = run_stages(inputs, library, config.base, *cache);
+  count_isomorphisms(run);
 
   // Batch telemetry: the dedup hit-rate gauge plus per-program benefit.
+  const PortfolioResult& result = run.result;
   trace::MetricsRegistry& registry = trace::MetricsRegistry::global();
   registry.counter("isex_portfolio_flows_total").inc();
   registry.counter("isex_portfolio_jobs_total")
@@ -385,7 +379,7 @@ Expected<PortfolioResult> run_portfolio_flow_checked(
                {{"program", prog.name}})
         .set(prog.weighted_benefit());
 
-  return result;
+  return std::move(run.result);
 }
 
 }  // namespace isex::flow

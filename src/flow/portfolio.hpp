@@ -1,17 +1,17 @@
 // Batched portfolio design flow: one ISE set for N programs under a shared
 // area budget (multi-application ASIP mode, Ragel et al. in PAPERS.md).
 //
-// run_portfolio_flow extends run_design_flow from one program to a weighted
-// manifest.  Three things change, none of them the per-program exploration
-// semantics:
+// run_portfolio_flow runs the design flow's stages (Fig 3.1.1) over a
+// weighted manifest; run_design_flow is its one-entry, weight-1 case, and
+// both run the same code (portfolio.cpp).  Against N independent flows,
+// three things change, none of them the per-program exploration semantics:
 //
 //   * scheduling — every program's (hot block × repeat) exploration jobs are
 //     flattened into ONE batch on the shared runtime pool, so a program with
 //     a few small blocks no longer serializes the tail behind a big one.
-//     Each program's RNG streams are pre-split serially from Rng(seed) in
-//     exactly the order run_design_flow would derive them, so per-program
-//     exploration results are bit-identical to N independent flows at any
-//     --jobs width.
+//     Each program's RNG streams are split serially from its own
+//     Rng(seed), so per-program exploration results are bit-identical to N
+//     independent flows at any --jobs width.
 //   * dedup — jobs whose (within-program job index, exact block digest) pair
 //     repeats across programs have identical inputs AND identical RNG
 //     streams, so they are explored once and the result is copied; below
@@ -19,6 +19,8 @@
 //     portfolio-scoped EvalCache (ExplorerParams::eval_cache), so identical
 //     candidate evaluations re-surfacing anywhere in the batch hit instead
 //     of re-scheduling.  The portfolio's dedup hit-rate is reported per run.
+//     Unless base.params.eval_cache names a cache (the server points it at
+//     the warm-started process cache), each call gets a private one.
 //     Canonically isomorphic-but-renumbered blocks/candidates are *detected*
 //     (canonical_graph_digest telemetry) but never share cached makespans:
 //     the list scheduler breaks ties by node id, so only exact keys may
@@ -50,35 +52,10 @@ struct PortfolioConfig {
   /// Shared per-program flow settings (machine, explorer params, repeats,
   /// seed, hot-block policy) and the *shared* selection constraints: the
   /// area budget / type budget apply to the whole portfolio, not per
-  /// program.  base.keep_explorations is ignored — the portfolio result
-  /// always carries per-program explorations (the identity-gate currency).
+  /// program.  base.params.eval_cache null (default) gives each call a
+  /// private eval cache, which keeps the reported dedup hit-rate
+  /// attributable to this portfolio alone.
   FlowConfig base;
-  /// Entry budget of the portfolio-scoped eval cache (ignored when
-  /// eval_cache is set).
-  std::size_t cache_capacity = 1 << 18;
-  /// External cache override: the server points this at the warm-started
-  /// process cache so portfolio evaluations persist across jobs and
-  /// restarts.  Null (default) creates a private per-run cache, which keeps
-  /// the reported dedup hit-rate attributable to this portfolio alone.
-  runtime::EvalCache* eval_cache = nullptr;
-};
-
-/// One selected ISE in portfolio coordinates.
-struct PortfolioSelectedIse {
-  std::size_t program_index = 0;
-  IseCatalogEntry entry;
-  /// ASFU equivalence class, global across the portfolio.
-  int type_id = 0;
-  /// True when this selection reuses an ASFU selected earlier — possibly by
-  /// a *different* program (cross-program hardware sharing).
-  bool hardware_shared = false;
-  double weighted_benefit = 0.0;
-};
-
-struct PortfolioSelection {
-  std::vector<PortfolioSelectedIse> selected;
-  double total_area = 0.0;
-  int num_types = 0;
 };
 
 /// Per-program slice of the portfolio outcome.
@@ -139,22 +116,6 @@ struct PortfolioResult {
     return sum;
   }
 };
-
-/// Merged weighted catalog entry (exposed for tests).
-struct PortfolioCatalogEntry {
-  std::size_t program_index = 0;
-  double weight = 1.0;
-  IseCatalogEntry entry;
-  /// entry.benefit × weight.
-  double weighted_benefit = 0.0;
-};
-
-/// Deterministic weighted greedy selection under shared constraints, with
-/// cross-program ASFU sharing.  Catalog entries must be grouped per
-/// (program, block) in commit-position order (build order guarantees it).
-PortfolioSelection select_portfolio_ises(
-    const std::vector<PortfolioCatalogEntry>& catalog,
-    const SelectionConstraints& constraints);
 
 /// Runs the portfolio flow.  Deterministic in config.base.seed; results are
 /// never a function of the thread count.  Throws isex::ValidationException

@@ -32,8 +32,5 @@ ValidationReport validate(const FlowConfig& config);
 /// validate(ProfiledProgram) (issues re-reported with the program named);
 /// every weight is finite and > 0.
 ValidationReport validate(const std::vector<PortfolioEntry>& entries);
-/// Portfolio config: the shared base FlowConfig plus the portfolio-scoped
-/// cache budget.
-ValidationReport validate(const PortfolioConfig& config);
 
 }  // namespace isex::flow

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/pool_profile.hpp"
@@ -30,36 +31,30 @@
 
 namespace isex::runtime {
 
-/// Runs fn(i, stream_i) for i in [0, n) on `pool` and returns the results in
-/// index order.  stream_i is the i-th child of `rng` exactly as n serial
-/// rng.split() calls would produce (and `rng` advances identically).
+/// Runs fn(i, stream_i) for every pre-derived stream on `pool` and returns
+/// the results in index order.  Each job gets a private mutable copy of its
+/// stream, so `streams` stays pristine and the results are a function of the
+/// streams alone, never of the thread count.
 ///
 /// When `pool` has profiling on, the fan-out is measured as one parallel
-/// section under `section` (serial stream-derivation time vs parallel wall
-/// time vs per-task body durations — the Amdahl attribution in
-/// pool_profile.hpp).  Instrumentation never touches `rng` or the streams,
-/// so results stay bit-identical whether profiling is on or off.
+/// section under `section`: `serial_ns` (the caller's serial time deriving
+/// the streams) vs parallel wall time vs per-task body durations — the
+/// Amdahl attribution in pool_profile.hpp.  Instrumentation never touches
+/// the streams, so results stay bit-identical whether profiling is on or off.
 template <typename Fn>
-auto deterministic_fanout(ThreadPool& pool, Rng& rng, std::size_t n, Fn fn,
-                          const char* section = "fanout")
+auto fanout_streams(ThreadPool& pool, const std::vector<Rng>& streams, Fn fn,
+                    const char* section, std::uint64_t serial_ns)
     -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>> {
   using R = std::invoke_result_t<Fn&, std::size_t, Rng&>;
   using Clock = std::chrono::steady_clock;
   const bool profiled = pool.profiling();
 
-  const auto serial_start = Clock::now();
-  std::vector<Rng> streams = rng.split_n(n);
-  const auto serial_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           serial_start)
-          .count());
-
-  std::vector<R> results(n);
+  std::vector<R> results(streams.size());
   std::atomic<std::uint64_t> task_ns_sum{0};
   std::atomic<std::uint64_t> task_ns_max{0};
   const auto wall_start = Clock::now();
-  pool.parallel_for(n, [&](std::size_t i) {
-    Rng local = streams[i];  // private mutable copy; streams stays pristine
+  pool.parallel_for(streams.size(), [&](std::size_t i) {
+    Rng local = streams[i];
     if (profiled) {
       const auto t0 = Clock::now();
       results[i] = fn(i, local);
@@ -81,11 +76,28 @@ auto deterministic_fanout(ThreadPool& pool, Rng& rng, std::size_t n, Fn fn,
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              wall_start)
             .count());
-    record_parallel_section(section, serial_ns, wall_ns, n,
+    record_parallel_section(section, serial_ns, wall_ns, streams.size(),
                             task_ns_sum.load(std::memory_order_relaxed),
                             task_ns_max.load(std::memory_order_relaxed));
   }
   return results;
+}
+
+/// Runs fn(i, stream_i) for i in [0, n) on `pool` and returns the results in
+/// index order.  stream_i is the i-th child of `rng` exactly as n serial
+/// rng.split() calls would produce (and `rng` advances identically).  The
+/// serial split is the profiled section's serial time (fanout_streams).
+template <typename Fn>
+auto deterministic_fanout(ThreadPool& pool, Rng& rng, std::size_t n, Fn fn,
+                          const char* section = "fanout")
+    -> std::vector<std::invoke_result_t<Fn&, std::size_t, Rng&>> {
+  const auto serial_start = std::chrono::steady_clock::now();
+  const std::vector<Rng> streams = rng.split_n(n);
+  const auto serial_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - serial_start)
+          .count());
+  return fanout_streams(pool, streams, std::move(fn), section, serial_ns);
 }
 
 class JobGraph {

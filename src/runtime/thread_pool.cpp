@@ -71,7 +71,8 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
+void ThreadPool::enqueue(std::function<void()> fn,
+                         std::shared_ptr<Join> join) {
   ISEX_ASSERT(!workers_.empty());
   // Trace-context propagation: carry the submitter's ambient context across
   // the thread hop so spans recorded inside the task parent under the span
@@ -79,7 +80,7 @@ void ThreadPool::enqueue(std::function<void()> task) {
   if (trace::Tracer::global().enabled()) {
     const trace::TraceContext ctx = trace::current_context();
     if (ctx.active()) {
-      task = [ctx, inner = std::move(task)]() {
+      fn = [ctx, inner = std::move(fn)]() {
         const trace::ContextScope scope(ctx);
         inner();
       };
@@ -89,7 +90,7 @@ void ThreadPool::enqueue(std::function<void()> task) {
       next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   {
     std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->queue.push_back(std::move(task));
+    workers_[target]->queue.push_back(Task{std::move(fn), std::move(join)});
   }
   pending_.fetch_add(1, std::memory_order_release);
   {
@@ -100,12 +101,12 @@ void ThreadPool::enqueue(std::function<void()> task) {
 
 bool ThreadPool::run_one(int self) {
   const std::size_t n = workers_.size();
-  std::function<void()> task;
+  Task task;
   bool stolen = false;
   // Own deque first (back = LIFO, cache-warm), then sweep the others from
   // the front (FIFO) — classic work stealing.
   const std::size_t start = self >= 0 ? static_cast<std::size_t>(self) : 0;
-  for (std::size_t k = 0; k < n && !task; ++k) {
+  for (std::size_t k = 0; k < n && !task.fn; ++k) {
     const std::size_t w = (start + k) % n;
     Worker& worker = *workers_[w];
     std::lock_guard<std::mutex> lock(worker.mutex);
@@ -120,7 +121,7 @@ bool ThreadPool::run_one(int self) {
       stolen = true;
     }
   }
-  if (!task) return false;
+  if (!task.fn) return false;
   pending_.fetch_sub(1, std::memory_order_acq_rel);
   if (stolen) {
     steals_.fetch_add(1, std::memory_order_relaxed);
@@ -128,12 +129,26 @@ bool ThreadPool::run_one(int self) {
   }
   jobs_run_.fetch_add(1, std::memory_order_relaxed);
   jobs_metric_->inc();
-  if (profiling()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    task();
-    record_profiled_task(self, stolen, elapsed_ns(t0));
-  } else {
-    task();
+  const bool profiled = profiling();
+  const auto t0 = profiled ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
+  try {
+    task.fn();
+  } catch (...) {
+    if (!task.join) throw;
+    std::lock_guard<std::mutex> lock(task.join->mutex);
+    if (!task.join->first_error)
+      task.join->first_error = std::current_exception();
+  }
+  if (profiled) record_profiled_task(self, stolen, elapsed_ns(t0));
+  // Count the latch down last: the parallel_for caller may read the
+  // profiling counters as soon as it sees zero.
+  if (task.join &&
+      task.join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    {
+      std::lock_guard<std::mutex> lock(task.join->mutex);
+    }
+    task.join->done.notify_all();
   }
   return true;
 }
@@ -197,31 +212,10 @@ void ThreadPool::parallel_for(std::size_t n,
     return;
   }
 
-  struct Join {
-    std::atomic<std::size_t> remaining;
-    std::mutex mutex;
-    std::condition_variable done;
-    std::exception_ptr first_error;
-  };
   auto join = std::make_shared<Join>();
   join->remaining.store(n, std::memory_order_relaxed);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    enqueue([join, i, &body]() {
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(join->mutex);
-        if (!join->first_error) join->first_error = std::current_exception();
-      }
-      if (join->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        {
-          std::lock_guard<std::mutex> lock(join->mutex);
-        }
-        join->done.notify_all();
-      }
-    });
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    enqueue([i, &body]() { body(i); }, join);
 
   // Help while waiting: drain pool tasks on this thread instead of blocking,
   // so the caller contributes a core and nested pools cannot starve.

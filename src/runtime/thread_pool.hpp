@@ -23,9 +23,11 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -123,8 +125,23 @@ class ThreadPool {
   static int default_jobs();
 
  private:
+  /// Completion latch of one parallel_for.  run_one counts it down only
+  /// after the task's profile is booked, so a caller that wakes on it reads
+  /// profiling counters that include every one of its tasks.
+  struct Join {
+    std::atomic<std::size_t> remaining{0};
+    std::mutex mutex;
+    std::condition_variable done;
+    std::exception_ptr first_error;
+  };
+
+  struct Task {
+    std::function<void()> fn;
+    std::shared_ptr<Join> join;  ///< null for submit() tasks
+  };
+
   struct Worker {
-    std::deque<std::function<void()>> queue;
+    std::deque<Task> queue;
     std::mutex mutex;
   };
 
@@ -138,7 +155,7 @@ class ThreadPool {
     std::atomic<std::uint64_t> idle_ns{0};
   };
 
-  void enqueue(std::function<void()> task);
+  void enqueue(std::function<void()> fn, std::shared_ptr<Join> join = {});
   /// Pops one queued task and runs it; false when every deque was empty.
   /// `self` is the caller's worker index, or -1 for external threads.
   bool run_one(int self);

@@ -77,8 +77,11 @@ int schedule_into(const MachineConfig& config, PriorityKind priority_kind,
   for (dfg::NodeId v = 0; v < n; ++v)
     s.unresolved[v] = static_cast<int>(graph.preds(v).size());
 
+  // `ready` and `leftover` trade buffers every cycle (the swap below), so
+  // both are reserved to n: whichever ends up short would otherwise grow.
   std::vector<dfg::NodeId>& ready = s.ready;
   ready.clear();
+  ready.reserve(n);
   for (dfg::NodeId v = 0; v < n; ++v)
     if (s.unresolved[v] == 0) ready.push_back(v);
   std::sort(ready.begin(), ready.end(), before);

@@ -639,7 +639,7 @@ std::string Server::process_portfolio(const JobRequest& request,
   // Evaluations memoize through the warm-started process cache — and via
   // its persist sink, the disk log — so a portfolio's schedule evaluations
   // survive restarts exactly like single-kernel jobs'.
-  config.eval_cache = &runtime::schedule_cache();
+  config.base.params.eval_cache = &runtime::schedule_cache();
 
   trace::Tracer& tracer = trace::Tracer::global();
   const bool traced = tracer.enabled();

@@ -25,8 +25,10 @@ class ReplacementTest : public ::testing::Test {
       results.push_back(
           explorer.explore_best_of(program.blocks[i].graph, 3, rng));
     }
-    return select_ises(build_catalog(program, indices, results),
-                       SelectionConstraints{});
+    return program_selection(
+        select_portfolio_ises(build_catalog(program, indices, results),
+                              SelectionConstraints{}),
+        0);
   }
 
   sched::MachineConfig machine_ = sched::MachineConfig::make(2, {6, 3});
@@ -68,8 +70,10 @@ TEST_F(ReplacementTest, CrossBlockMatchingReusesPattern) {
   Rng rng(23);
   std::vector<core::ExplorationResult> results{
       explorer.explore_best_of(p.blocks[0].graph, 3, rng)};
-  const SelectionResult sel = select_ises(
-      build_catalog(p, {0}, results), SelectionConstraints{});
+  const SelectionResult sel = program_selection(
+      select_portfolio_ises(build_catalog(p, {0}, results),
+                            SelectionConstraints{}),
+      0);
   ASSERT_FALSE(sel.selected.empty());
 
   ReplacementOptions with;
